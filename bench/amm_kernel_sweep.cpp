@@ -3,9 +3,6 @@
 //   * ref     — the pre-rewrite path: per-row tree-walk encode + naive
 //               row->codebook->output accumulation over the proto-major
 //               layout (apply_lut_reference),
-//   * scalar_encode — the PR 3 shape: scalar codebook-major tree walk
-//               (encode_all_codebook_major) feeding the packed kernel —
-//               the "old" end-to-end the vectorized encoder replaces,
 //   * packed  — the current serving path: vectorized batch encode into
 //               reusable scratch + the packed output-major kernel, both
 //               at their runtime-selected tiers,
@@ -32,9 +29,7 @@
 // checks exactness on every tier and writes no artifact. The full run
 // writes one JSON object (see README "Encoder kernel architecture" for
 // how to read it); the headline cell is (rows=256, ncodebooks=32,
-// nout=128) with two speedups: headline_speedup_256x32x128 (vs the
-// naive reference) and e2e_speedup_256x32x128 (vs the PR 3
-// scalar-encode + packed-kernel end-to-end).
+// nout=128) with headline_speedup_256x32x128 (vs the naive reference).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -258,7 +253,6 @@ int main(int argc, char** argv) {
   Rng rng(2026);
   std::string cells_json;
   double headline_speedup = 0.0;
-  double e2e_speedup = 0.0;
   // Headline-cell per-tier timings, fed into the roofline self-model.
   std::vector<std::pair<maddness::KernelTier, double>> roof_lut_s;
   std::vector<std::pair<maddness::KernelTier, double>> roof_enc_s;
@@ -280,8 +274,14 @@ int main(int argc, char** argv) {
     // Correctness gates before any number is recorded: every encoder
     // tier must reproduce the per-row HashTree walk to the bit, and
     // every accumulation tier must match the reference decode.
-    const auto ref_codes =
-        maddness::encode_all_codebook_major(amm.cfg(), amm.trees(), q);
+    // encode_all is row-major; the packed encode cache is
+    // codebook-major (codes[c * rows + n]).
+    const auto row_codes = maddness::encode_all(amm.cfg(), amm.trees(), q);
+    const std::size_t ncb = static_cast<std::size_t>(spec.ncodebooks);
+    std::vector<std::uint8_t> ref_codes(row_codes.size());
+    for (std::size_t n = 0; n < q.rows; ++n)
+      for (std::size_t c = 0; c < ncb; ++c)
+        ref_codes[c * q.rows + n] = row_codes[n * ncb + c];
     maddness::EncodeScratch scratch;
     maddness::EncodedBatch enc;
     for (const maddness::KernelTier tier : enc_tiers) {
@@ -310,25 +310,13 @@ int main(int argc, char** argv) {
       }
     }
 
-    // End-to-end: naive reference, the PR 3 scalar-encode + packed
-    // kernel shape, and the current serving path (vectorized encode
-    // into reusable scratch + packed kernel).
+    // End-to-end: naive reference and the current serving path
+    // (vectorized encode into reusable scratch + packed kernel).
     std::vector<std::int16_t> out;
     const double ref_s = seconds_per_call(
         [&] {
           const auto r = amm.apply_int16_reference(q);
           g_sink = static_cast<std::int16_t>(g_sink + r[0]);
-        },
-        min_ms);
-    const double scalar_enc_s = seconds_per_call(
-        [&] {
-          maddness::EncodedBatch old_enc;
-          old_enc.rows = q.rows;
-          old_enc.ncodebooks = amm.cfg().ncodebooks;
-          old_enc.codes =
-              maddness::encode_all_codebook_major(amm.cfg(), amm.trees(), q);
-          amm.apply_int16(old_enc, out);
-          g_sink = static_cast<std::int16_t>(g_sink + out[0]);
         },
         min_ms);
     const double packed_s = seconds_per_call(
@@ -340,16 +328,11 @@ int main(int argc, char** argv) {
         min_ms);
     const Measure ref_m =
         make_measure(spec.rows, spec.ncodebooks, spec.nout, ref_s);
-    const Measure scalar_enc_m =
-        make_measure(spec.rows, spec.ncodebooks, spec.nout, scalar_enc_s);
     const Measure packed_m =
         make_measure(spec.rows, spec.ncodebooks, spec.nout, packed_s);
     const double speedup = ref_s / packed_s;
-    const double cell_e2e_speedup = scalar_enc_s / packed_s;
-    if (spec.rows == 256 && spec.ncodebooks == 32 && spec.nout == 128) {
+    if (spec.rows == 256 && spec.ncodebooks == 32 && spec.nout == 128)
       headline_speedup = speedup;
-      e2e_speedup = cell_e2e_speedup;
-    }
 
     // Per-tier kernel-only numbers on the prebuilt encode cache.
     std::string tier_json;
@@ -401,23 +384,19 @@ int main(int argc, char** argv) {
                   ",\"ncodebooks\":" + std::to_string(spec.ncodebooks) +
                   ",\"nout\":" + std::to_string(spec.nout) +
                   ",\"ref\":" + measure_json(ref_m) +
-                  ",\"scalar_encode\":" + measure_json(scalar_enc_m) +
                   ",\"packed\":" + measure_json(packed_m) + ",";
     char sp[96];
     std::snprintf(sp, sizeof(sp),
-                  "\"speedup\":%.2f,\"e2e_speedup\":%.2f,"
-                  "\"encode_fraction\":%.3f,",
-                  speedup, cell_e2e_speedup, encode_fraction);
+                  "\"speedup\":%.2f,\"encode_fraction\":%.3f,", speedup,
+                  encode_fraction);
     cells_json += sp;
     cells_json += "\"kernel_only\":{" + tier_json + "},\"encoder\":{" +
                   enc_json + "}}";
     std::fprintf(stderr,
                  "rows=%4zu ncb=%2d nout=%3d  ref %.0f rows/s  "
-                 "scalar-enc %.0f rows/s  packed %.0f rows/s  "
-                 "speedup %.2fx  e2e %.2fx  enc-frac %.2f\n",
+                 "packed %.0f rows/s  speedup %.2fx  enc-frac %.2f\n",
                  spec.rows, spec.ncodebooks, spec.nout, ref_m.rows_per_s,
-                 scalar_enc_m.rows_per_s, packed_m.rows_per_s, speedup,
-                 cell_e2e_speedup, encode_fraction);
+                 packed_m.rows_per_s, speedup, encode_fraction);
   }
 
   telemetry::FusionRoofline fusion;
@@ -500,9 +479,8 @@ int main(int argc, char** argv) {
 
   char headline[128];
   std::snprintf(headline, sizeof(headline),
-                "\"headline_speedup_256x32x128\":%.2f,"
-                "\"e2e_speedup_256x32x128\":%.2f",
-                headline_speedup, e2e_speedup);
+                "\"headline_speedup_256x32x128\":%.2f",
+                headline_speedup);
   const std::string json =
       std::string("{\"bench\":\"amm_kernel_sweep\",") +
       benchenv::machine_json() + ",\"tier_selected\":\"" +

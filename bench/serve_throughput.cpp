@@ -357,7 +357,6 @@ int main(int argc, char** argv) {
       opts.queue_capacity = 1024;
       opts.engine.backend = mode;
       opts.batcher.max_batch_tokens = max_batch;
-      opts.batcher.max_wait = std::chrono::microseconds(200);
       if (simulate) {
         opts.engine.accel.ns = 4;
         opts.engine.accel.ndec = 8;
@@ -416,7 +415,6 @@ int main(int argc, char** argv) {
   mopts.queue_capacity = 1024;
   mopts.engine.backend = mode;
   mopts.batcher.max_batch_tokens = 64;
-  mopts.batcher.max_wait = std::chrono::microseconds(200);
   if (simulate) {
     mopts.engine.accel.ns = 4;
     mopts.engine.accel.ndec = 8;
@@ -656,7 +654,6 @@ int main(int argc, char** argv) {
     oopts.engine.backend = engine::Backend::kDevicePaced;
     oopts.engine.device_ns_per_token = kOverloadDeviceNs;
     oopts.batcher.max_batch_tokens = 64;
-    oopts.batcher.max_wait = std::chrono::microseconds(200);
     serve::InferenceServer server(oopts);
     server.register_model("m", amm);
 
@@ -758,7 +755,6 @@ int main(int argc, char** argv) {
     fopts.queue_capacity = 1024;
     fopts.engine.backend = engine::Backend::kKernel;
     fopts.batcher.max_batch_tokens = 256;
-    fopts.batcher.max_wait = std::chrono::microseconds(200);
 
     // One-request bit-exactness probe per variant.
     const std::size_t probe_rows = kFusedRows;
@@ -861,7 +857,6 @@ int main(int argc, char** argv) {
     copts.queue_capacity = 1024;
     copts.engine.backend = engine::Backend::kKernel;
     copts.batcher.max_batch_tokens = 256;
-    copts.batcher.max_wait = std::chrono::microseconds(200);
     serve::InferenceServer server(registry, copts);
     const nn::MaddnessNetwork::ConvExecutor exec =
         [&](std::size_t conv,

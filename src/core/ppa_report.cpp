@@ -48,12 +48,14 @@ PpaReport make_report(const sim::MacroConfig& cfg,
   r.duration_ns = stats.duration_ns;
   r.events = stats.events;
 
-  if (stats.output_interval_ns.count() > 0) {
-    r.token_interval_ns = stats.output_interval_ns.mean();
-    r.freq_mhz = 1e3 / r.token_interval_ns;
-    r.throughput_tops =
-        static_cast<double>(ops_per_token) / r.token_interval_ns * 1e-3;
-  }
+  r.token_interval_ns =
+      stats.output_interval_ns.count() > 0
+          ? stats.output_interval_ns.mean()
+          : ppa::AnalyticPerf({cfg.ndec, cfg.ns}, cfg.op)
+                .avg_block_latency_ns();
+  r.freq_mhz = 1e3 / r.token_interval_ns;
+  r.throughput_tops =
+      static_cast<double>(ops_per_token) / r.token_interval_ns * 1e-3;
   r.energy_per_op_fj =
       stats.ledger.total_fj() / static_cast<double>(r.total_ops);
   r.tops_per_w = 1e3 / r.energy_per_op_fj;

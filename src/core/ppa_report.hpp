@@ -45,7 +45,9 @@ struct PpaReport {
   std::string render() const;
 };
 
-/// Builds a report from an event-simulator run.
+/// Builds a report from an event-simulator run. A run whose tokens
+/// produced no output interval (a lone token per tile) takes the
+/// closed-form average-data pipeline interval as its rate.
 PpaReport make_report(const sim::MacroConfig& cfg,
                       const sim::MacroRunStats& stats, long long ntokens);
 

@@ -105,9 +105,6 @@ std::string pipeline_blob(const std::vector<const maddness::Amm*>& stages);
 
 class ModelRegistry {
  public:
-  /// The name the v1 single-model API maps onto.
-  static constexpr const char* kDefaultModel = "default";
-
   ModelRegistry() = default;
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;

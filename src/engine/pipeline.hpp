@@ -52,17 +52,6 @@ maddness::Amm train_chained_stage(const maddness::Config& cfg,
                                   const Matrix& weights,
                                   Matrix* next_input);
 
-/// Registers every MADDNESS-substituted conv of a trained network as an
-/// independently served patch-matmul model "<prefix>.convK" (version 1
-/// each) — CNN feature layers become servable request streams (each
-/// request row is one im2col patch of that layer). Returns the
-/// registered names in layer order. The network's operators are
-/// re-serialized into the handles, so the network need not outlive the
-/// registry.
-std::vector<std::string> register_network_layers(
-    ModelRegistry& registry, const std::string& prefix,
-    const nn::MaddnessNetwork& net);
-
 /// Registers a whole trained network for end-to-end serving through the
 /// fused ExecutionPlan: maximal runs of shape-chaining operators
 /// (stage[i+1].cfg().total_dims() == stage[i].lut().nout) become one

@@ -40,15 +40,6 @@ std::vector<std::uint8_t> encode_all(const Config& cfg,
                                      const std::vector<HashTree>& trees,
                                      const QuantizedActivations& q);
 
-/// Same codes, written codebook-major (codes[c * N + n]) with the tree
-/// walk inlined over precomputed absolute split dims — the pre-SIMD
-/// scalar encode the kernel sweep benchmarks against as the "old"
-/// end-to-end path. Kept as a second independent reference; production
-/// encoding runs encode_batch_packed.
-std::vector<std::uint8_t> encode_all_codebook_major(
-    const Config& cfg, const std::vector<HashTree>& trees,
-    const QuantizedActivations& q);
-
 /// Learns prototypes from training data and its codes.
 Prototypes learn_prototypes(const Config& cfg,
                             const std::vector<HashTree>& trees,

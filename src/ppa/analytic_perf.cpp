@@ -19,6 +19,10 @@ double AnalyticPerf::block_latency_ns(int dlc_depth) const {
   return delay_.encoder_ns(depths) + delay_.decoder_path_ns(cfg_.ndec);
 }
 
+double AnalyticPerf::avg_block_latency_ns() const {
+  return 0.5 * (block_latency_ns(1) + block_latency_ns(kDlcBits));
+}
+
 double AnalyticPerf::token_dynamic_fj() const {
   const int avg_depth = kDlcBits / 2;  // mid-range data assumption
   const int depths[kTreeLevels] = {avg_depth, avg_depth, avg_depth,
@@ -60,8 +64,7 @@ PerfEnvelope AnalyticPerf::envelope() const {
 
 EnergyBreakdownPerOp AnalyticPerf::energy_breakdown() const {
   // Evaluate at the average of the best/worst intervals, average data.
-  const double interval =
-      0.5 * (block_latency_ns(1) + block_latency_ns(kDlcBits));
+  const double interval = avg_block_latency_ns();
   const double ops = static_cast<double>(ops_per_token());
 
   const int avg_depth = kDlcBits / 2;

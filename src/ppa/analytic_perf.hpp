@@ -62,6 +62,10 @@ class AnalyticPerf {
   /// Block latency for a uniform per-level DLC resolution depth.
   double block_latency_ns(int dlc_depth) const;
 
+  /// Mean of the best- and worst-case block latencies: the pipeline
+  /// interval under average data.
+  double avg_block_latency_ns() const;
+
   /// Perf for a given steady-state pipeline interval [ns] (tokens spaced
   /// by the bottleneck block latency).
   PerfPoint perf_at_interval(double interval_ns) const;

@@ -10,7 +10,6 @@ namespace ssma::serve {
 Batcher::Batcher(const BatcherOptions& opts) : opts_(opts) {
   SSMA_CHECK(opts.max_batch_tokens >= 1);
   SSMA_CHECK(opts.align_tokens >= 1);
-  SSMA_CHECK(opts.max_wait.count() >= 0);
   budget_ = opts.max_batch_tokens / opts.align_tokens * opts.align_tokens;
   if (budget_ == 0) budget_ = opts.align_tokens;
 }
@@ -57,37 +56,23 @@ Batch Batcher::next_batch(RequestQueue& queue) const {
   const std::uint64_t t_form = trace.enabled() ? trace.now_ns() : 0;
 #endif
 
+  // Work-conserving fill: take what is queued right now and dispatch
+  // — batches grow only when there is a backlog, never by waiting.
   // Coalesce only requests pinned to the same model handle (pulled
   // model-affine past other models' requests): a batch is one stitched
   // matrix through one bank, and mixing versions would break the
   // hot-swap bit-exactness contract (old in-flight requests finish on
-  // the old bank).
-  const void* model_key = batch.requests.front().model.get();
-  const Clock::time_point start = Clock::now();
-  // SLO-aware wait: a batch anchored by a deadline-bearing request
-  // dispatches in time to meet it even if the token budget never fills.
-  const Clock::time_point deadline =
-      std::min(start + opts_.max_wait, batch.requests.front().deadline);
-  while (batch.tokens < budget_) {
-    InferenceRequest next;
-    // Recompute the starvation bounds each pull: a request another
-    // model enqueued during this batch's wait still gets the full
-    // max_skip_age before it blocks coalescing. The deadline bound uses
-    // the batch's own close time — skipping a request that must
-    // dispatch before this batch closes would push it past its SLO.
+  // the old bank). The starvation bounds are taken at the formation
+  // instant.
+  if (batch.tokens < budget_) {
     const Clock::time_point now = Clock::now();
-    const PopStatus st = queue.pop_compatible(
-        budget_ - batch.tokens, deadline, &next, model_key,
+    std::vector<InferenceRequest> expired;
+    batch.tokens += queue.pop_compatible(
+        budget_ - batch.tokens, batch.requests.front().model.get(), now,
         /*no_skip_enqueued_before=*/now - opts_.max_skip_age,
-        /*no_skip_deadline_before=*/deadline);
-    if (st != PopStatus::kOk) break;  // full/timeout/closed/incompatible
-    if (next.deadline <= now) {
-      reject_expired(std::move(next));
-      ++batch.expired;
-      continue;
-    }
-    batch.tokens += next.rows;
-    batch.requests.push_back(std::move(next));
+        &batch.requests, &expired);
+    for (InferenceRequest& r : expired) reject_expired(std::move(r));
+    batch.expired += expired.size();
   }
 
 #if defined(SSMA_TRACE_ENABLED)

@@ -21,9 +21,9 @@ struct LoadSpec {
   std::size_t total_requests = 1000;
   std::size_t rows_per_request = 1;
   /// Model refs the stream round-robins over by request id (request i
-  /// targets model_refs[i % size]) — the multi-model interleave the
-  /// registry-dispatch bench uses. Empty = the v1 single-model path
-  /// ("default@latest").
+  /// targets model_refs[i % size]) — one ref for a single-model stream,
+  /// several for the multi-model interleave the registry-dispatch bench
+  /// uses. Must not be empty.
   std::vector<std::string> model_refs;
   /// Drives the Poisson arrival stream — and, when a run injects
   /// faults, the same seed should be handed to the FaultInjector so
@@ -66,7 +66,7 @@ class LoadGenerator {
   std::vector<std::uint8_t> request_codes(std::uint64_t id) const;
   /// First pool row used by request `id`.
   std::size_t first_row(std::uint64_t id) const;
-  /// Model ref request `id` targets (empty = the v1 default path).
+  /// Model ref request `id` targets.
   const std::string& model_ref(std::uint64_t id) const;
 
   const LoadSpec& spec() const { return spec_; }

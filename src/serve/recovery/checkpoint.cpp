@@ -18,8 +18,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMagicV1[8] = {'S', 'S', 'M', 'A', 'C', 'K', 'P', '1'};
-constexpr char kMagicV2[8] = {'S', 'S', 'M', 'A', 'C', 'K', 'P', '2'};
+constexpr char kMagic[8] = {'S', 'S', 'M', 'A', 'C', 'K', 'P', '2'};
 constexpr char kPrefix[] = "checkpoint-";
 constexpr char kSuffix[] = ".ssck";
 
@@ -45,11 +44,7 @@ std::uint64_t parse_version(const std::string& name) {
 }
 
 std::string encode(std::uint64_t version, const CheckpointState& st) {
-  // The record format follows the state: a v1 state (no registry
-  // section) re-encodes as the byte-identical v1 record, so golden v1
-  // fixtures survive the v2 bump.
-  const bool v1 = st.is_v1();
-  const std::string& blob = v1 ? st.amm_blob : st.registry_blob;
+  const std::string& blob = st.registry_blob;
   std::ostringstream payload;
   wire::put_u64(payload, st.next_request_id);
   wire::put_u64(payload, st.accepted_requests);
@@ -60,7 +55,7 @@ std::string encode(std::uint64_t version, const CheckpointState& st) {
   payload.write(blob.data(), static_cast<std::streamsize>(blob.size()));
 
   std::ostringstream file;
-  file.write(v1 ? kMagicV1 : kMagicV2, 8);
+  file.write(kMagic, 8);
   wire::put_u64(file, version);
   maddness::write_framed_blob(file, payload.str());
   return file.str();
@@ -130,11 +125,8 @@ CheckpointState CheckpointManager::load_file(const std::string& path) {
   SSMA_CHECK_MSG(is.is_open(), "cannot open checkpoint " << path);
   char magic[8];
   is.read(magic, sizeof(magic));
-  const bool v1 =
-      is.gcount() == 8 && std::equal(magic, magic + 8, kMagicV1);
-  const bool v2 =
-      is.gcount() == 8 && std::equal(magic, magic + 8, kMagicV2);
-  SSMA_CHECK_MSG(v1 || v2, "not an SSMA checkpoint: " << path);
+  SSMA_CHECK_MSG(is.gcount() == 8 && std::equal(magic, magic + 8, kMagic),
+                 "not an SSMA checkpoint: " << path);
   wire::get_u64(is);  // version echo; the filename is authoritative
   std::istringstream payload(maddness::read_framed_blob(is));
 
@@ -144,7 +136,7 @@ CheckpointState CheckpointManager::load_file(const std::string& path) {
   st.completed_requests = wire::get_u64(payload);
   st.tokens = wire::get_u64(payload);
   st.batches = wire::get_u64(payload);
-  std::string& blob = v1 ? st.amm_blob : st.registry_blob;
+  std::string& blob = st.registry_blob;
   blob.resize(static_cast<std::size_t>(wire::get_u64(payload)));
   payload.read(blob.data(), static_cast<std::streamsize>(blob.size()));
   SSMA_CHECK_MSG(payload.gcount() ==

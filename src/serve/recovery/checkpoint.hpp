@@ -4,15 +4,10 @@
 // not in the request journal: the serialized model registry (every
 // registered (name, version) bank — the restored server resolves
 // journal records against exactly these bytes), the request-id
-// watermark, and the lifetime metrics counters. Two record formats
-// coexist:
-//
-//   SSMACKP1 (v1) — a single anonymous Amm blob. Still loads; the
-//                   restore path adopts it as the implicitly-named
-//                   "default" model, version 1.
-//   SSMACKP2 (v2) — the registry section (multi-model, multi-version)
-//                   produced by ModelRegistry::save. Written whenever
-//                   `registry_blob` is non-empty.
+// watermark, and the lifetime metrics counters. The record format is
+// SSMACKP2, whose blob is the registry section (multi-model,
+// multi-version) produced by ModelRegistry::save. Files with any other
+// magic — including the retired single-model v1 record — are refused.
 //
 // Writes are atomic —
 // payload to `checkpoint-NNNNNN.tmp`, then rename — so a crash during
@@ -32,22 +27,16 @@ namespace ssma::serve::recovery {
 
 class FaultInjector;
 
-/// What one checkpoint captures. Exactly one of `amm_blob` (v1 record)
-/// and `registry_blob` (v2 record) is non-empty; encode() picks the
-/// record format from which one is set, so v1 states re-encode
-/// byte-identically (golden-format guarantee).
+/// What one checkpoint captures.
 struct CheckpointState {
-  std::string amm_blob;  ///< v1: Amm::save bytes (self-validating frame)
-  /// v2: ModelRegistry::save bytes — every registered (name, version)
-  /// bank plus the latest pointers.
+  /// ModelRegistry::save bytes — every registered (name, version) bank
+  /// plus the latest pointers.
   std::string registry_blob;
   std::uint64_t next_request_id = 0;  ///< admission id watermark
   std::uint64_t accepted_requests = 0;
   std::uint64_t completed_requests = 0;
   std::uint64_t tokens = 0;
   std::uint64_t batches = 0;
-
-  bool is_v1() const { return registry_blob.empty(); }
 };
 
 class CheckpointManager {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
+#include <unordered_set>
 
 #include "maddness/framing.hpp"
 #include "util/check.hpp"
@@ -13,9 +14,10 @@ namespace ssma::serve::recovery {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'S', 'M', 'A', 'J', 'N', 'L', '1'};
-constexpr std::uint8_t kAccepted = 1;
+// Record types. Type 1 was the model-less accept record of pre-registry
+// journals; it is no longer written, and read() rejects it as unknown.
 constexpr std::uint8_t kCompleted = 2;
-constexpr std::uint8_t kAcceptedV2 = 3;  ///< model-tagged accept
+constexpr std::uint8_t kAccepted = 3;  ///< model-tagged accept
 /// Compaction marker: the first frame of a compacted file, carrying the
 /// (base_seq, base_bytes) the pruned prefix occupied. Not a record — it
 /// has no sequence number and is skipped by read().
@@ -164,46 +166,51 @@ std::uint64_t RequestJournal::compact(std::uint64_t max_seq) {
   if (bound <= base_seq_) return 0;
   os_.flush();
 
-  // Scan the live file: one payload per surviving record, plus the set
-  // of ids with a completion record ANYWHERE in the journal (a prefix
-  // record's ack may live past the prune point; pruning the accept but
-  // keeping the ack is fine — read() tolerates an ack with no accept).
-  std::vector<std::string> payloads;
-  std::unordered_map<std::uint64_t, bool> completed;
+  // Pass 1: the ids with a completion record ANYWHERE in the journal
+  // (a prefix record's ack may live past the prune point; pruning the
+  // accept but keeping the ack is fine — read() tolerates an ack with
+  // no accept), and the record count.
+  std::unordered_set<std::uint64_t> completed;
+  std::uint64_t records = 0;
+  std::string payload;
   {
     std::ifstream is(path_, std::ios::binary);
     SSMA_CHECK_MSG(is.is_open(), "cannot reopen journal " << path_);
     is.ignore(static_cast<std::streamsize>(header_bytes_));
-    std::string payload;
-    while (maddness::try_read_framed_blob(is, &payload))
-      payloads.push_back(payload);
+    while (maddness::try_read_framed_blob(is, &payload)) {
+      ++records;
+      ParsedRecord rec;
+      if (parse_record(payload, &rec) && !rec.is_accepted)
+        completed.insert(rec.completed_id);
+    }
   }
-  SSMA_CHECK_MSG(payloads.size() == seq_ - base_seq_,
-                 "journal " << path_ << " holds " << payloads.size()
+  SSMA_CHECK_MSG(records == seq_ - base_seq_,
+                 "journal " << path_ << " holds " << records
                             << " records, expected " << seq_ - base_seq_);
-  for (const std::string& p : payloads) {
-    ParsedRecord rec;
-    if (parse_record(p, &rec) && !rec.is_accepted)
-      completed[rec.completed_id] = true;
-  }
 
-  // Longest fully-acknowledged prefix ending at or before the bound.
+  // Pass 2: skip the longest fully-acknowledged prefix ending at or
+  // before the bound, then copy every surviving frame behind magic +
+  // marker into a temp file that is renamed over the original — a
+  // crash leaves old or new, never a mix.
   std::uint64_t new_base = base_seq_;
   std::uint64_t new_base_bytes = base_bytes_;
-  for (std::uint64_t s = base_seq_ + 1; s <= bound; ++s) {
-    const std::string& p = payloads[s - base_seq_ - 1];
+  std::ifstream is(path_, std::ios::binary);
+  SSMA_CHECK_MSG(is.is_open(), "cannot reopen journal " << path_);
+  is.ignore(static_cast<std::streamsize>(header_bytes_));
+  bool have = maddness::try_read_framed_blob(is, &payload);
+  while (have && new_base < bound) {
     ParsedRecord rec;
-    SSMA_CHECK_MSG(parse_record(p, &rec),
-                   "unparsable journal record " << s << " in " << path_);
+    SSMA_CHECK_MSG(parse_record(payload, &rec),
+                   "unparsable journal record " << new_base + 1 << " in "
+                                                << path_);
     if (rec.is_accepted && !completed.count(rec.accepted.id)) break;
-    new_base = s;
-    new_base_bytes += 12 + p.size();
+    ++new_base;
+    new_base_bytes += 12 + payload.size();
+    have = maddness::try_read_framed_blob(is, &payload);
   }
   if (new_base <= base_seq_) return 0;
   const std::uint64_t pruned = new_base - base_seq_;
 
-  // Atomic rewrite: magic + marker + surviving frames into a temp file,
-  // rename over the original. A crash leaves old or new, never a mix.
   const std::string marker = encode_marker(new_base, new_base_bytes);
   const std::string tmp = path_ + ".compact";
   {
@@ -211,8 +218,8 @@ std::uint64_t RequestJournal::compact(std::uint64_t max_seq) {
     SSMA_CHECK_MSG(ns.is_open(), "cannot open " << tmp);
     ns.write(kMagic, sizeof(kMagic));
     maddness::write_framed_blob(ns, marker);
-    for (std::uint64_t s = new_base + 1; s <= seq_; ++s)
-      maddness::write_framed_blob(ns, payloads[s - base_seq_ - 1]);
+    for (; have; have = maddness::try_read_framed_blob(is, &payload))
+      maddness::write_framed_blob(ns, payload);
     ns.flush();
     SSMA_CHECK_MSG(ns.good(), "compaction write failure on " << tmp);
   }
@@ -255,24 +262,11 @@ void RequestJournal::set_commit_hook(CommitHook hook) {
 }
 
 std::uint64_t RequestJournal::append_accepted(
-    std::uint64_t id, std::size_t rows,
-    const std::vector<std::uint8_t>& codes) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kAccepted);
-  wire::put_u64(payload, id);
-  wire::put_u64(payload, rows);
-  wire::put_u64(payload, codes.size());
-  payload.write(reinterpret_cast<const char*>(codes.data()),
-                static_cast<std::streamsize>(codes.size()));
-  return append_record(payload.str());
-}
-
-std::uint64_t RequestJournal::append_accepted(
     std::uint64_t id, const std::string& model,
     std::uint64_t model_version, std::size_t rows,
     const std::vector<std::uint8_t>& codes) {
   std::ostringstream payload;
-  wire::put_u8(payload, kAcceptedV2);
+  wire::put_u8(payload, kAccepted);
   wire::put_u64(payload, id);
   wire::put_u64(payload, model.size());
   payload.write(model.data(),
@@ -299,22 +293,18 @@ std::uint64_t RequestJournal::append_completed(std::uint64_t id,
 bool RequestJournal::parse_record(const std::string& payload,
                                   ParsedRecord* out) {
   std::istringstream body(payload);
-  std::uint8_t type = 0;
   try {
-    type = wire::get_u8(body);
-    if (type == kAccepted || type == kAcceptedV2) {
+    const std::uint8_t type = wire::get_u8(body);
+    if (type == kAccepted) {
       out->is_accepted = true;
       AcceptedRecord& rec = out->accepted;
       rec.id = wire::get_u64(body);
-      if (type == kAcceptedV2) {
-        rec.model.resize(static_cast<std::size_t>(wire::get_u64(body)));
-        body.read(rec.model.data(),
-                  static_cast<std::streamsize>(rec.model.size()));
-        if (body.gcount() !=
-            static_cast<std::streamsize>(rec.model.size()))
-          return false;
-        rec.model_version = wire::get_u64(body);
-      }
+      rec.model.resize(static_cast<std::size_t>(wire::get_u64(body)));
+      body.read(rec.model.data(),
+                static_cast<std::streamsize>(rec.model.size()));
+      if (body.gcount() != static_cast<std::streamsize>(rec.model.size()))
+        return false;
+      rec.model_version = wire::get_u64(body);
       rec.rows = static_cast<std::size_t>(wire::get_u64(body));
       rec.codes.resize(static_cast<std::size_t>(wire::get_u64(body)));
       body.read(reinterpret_cast<char*>(rec.codes.data()),
@@ -366,40 +356,22 @@ JournalReplay RequestJournal::read(const std::string& path) {
         continue;
       }
     }
-    std::istringstream body(payload);
-    const std::uint8_t type = wire::get_u8(body);
-    if (type == kAccepted || type == kAcceptedV2) {
-      AcceptedRecord rec;
-      rec.id = wire::get_u64(body);
-      if (type == kAcceptedV2) {
-        rec.model.resize(static_cast<std::size_t>(wire::get_u64(body)));
-        body.read(rec.model.data(),
-                  static_cast<std::streamsize>(rec.model.size()));
-        SSMA_CHECK_MSG(body.gcount() == static_cast<std::streamsize>(
-                                            rec.model.size()),
-                       "journal accepted record underflow");
-        rec.model_version = wire::get_u64(body);
-      }
-      rec.rows = static_cast<std::size_t>(wire::get_u64(body));
-      rec.codes.resize(static_cast<std::size_t>(wire::get_u64(body)));
-      body.read(reinterpret_cast<char*>(rec.codes.data()),
-                static_cast<std::streamsize>(rec.codes.size()));
-      SSMA_CHECK_MSG(body.gcount() ==
-                         static_cast<std::streamsize>(rec.codes.size()),
-                     "journal accepted record underflow");
+    ParsedRecord rec;
+    SSMA_CHECK_MSG(parse_record(payload, &rec),
+                   "unknown journal record type "
+                       << (payload.empty()
+                               ? -1
+                               : static_cast<int>(
+                                     static_cast<std::uint8_t>(payload[0])))
+                       << " (or truncated fields) in " << path);
+    if (rec.is_accepted) {
       replay.accepted++;
-      replay.max_id = std::max(replay.max_id, rec.id);
-      accepted.push_back(std::move(rec));
-    } else if (type == kCompleted) {
-      const std::uint64_t id = wire::get_u64(body);
-      wire::get_u32(body);  // worker id: informational only
-      const std::uint32_t crc = wire::get_u32(body);
-      replay.completed++;
-      replay.max_id = std::max(replay.max_id, id);
-      replay.completed_crc[id] = crc;
+      replay.max_id = std::max(replay.max_id, rec.accepted.id);
+      accepted.push_back(std::move(rec.accepted));
     } else {
-      SSMA_CHECK_MSG(false, "unknown journal record type "
-                                << static_cast<int>(type));
+      replay.completed++;
+      replay.max_id = std::max(replay.max_id, rec.completed_id);
+      replay.completed_crc[rec.completed_id] = rec.completed_crc;
     }
   }
 

@@ -34,11 +34,9 @@ struct AcceptedRecord {
   std::uint64_t id = 0;
   std::size_t rows = 0;
   std::vector<std::uint8_t> codes;  ///< rows x cols, row-major uint8
-  /// Model the request resolved to at admission. Empty on v1-era
-  /// records (pre-registry journals): replay maps those onto the
-  /// implicitly-named default model.
+  /// Model the request resolved to at admission.
   std::string model;
-  /// Exact bank version pinned at admission (0 on v1-era records).
+  /// Exact bank version pinned at admission.
   /// Replay resolves this exact version, so a replayed request is
   /// bit-exact even when the crash straddled a hot-swap: requests
   /// admitted before the swap re-execute on the old bank, after it on
@@ -66,7 +64,7 @@ struct JournalReplay {
 /// One record decoded in isolation — what a replication follower needs
 /// to interpret a streamed record payload without re-reading the file.
 struct ParsedRecord {
-  bool is_accepted = false;  ///< accepted (v1 or v2) vs completed
+  bool is_accepted = false;  ///< accepted vs completed
   AcceptedRecord accepted;   ///< valid when is_accepted
   std::uint64_t completed_id = 0;    ///< valid when !is_accepted
   std::uint32_t completed_crc = 0;   ///< valid when !is_accepted
@@ -85,14 +83,10 @@ class RequestJournal {
   /// 1-based record count.
   explicit RequestJournal(const std::string& path);
 
-  /// WAL accept record — call before the request is enqueued. The
-  /// 3-argument form writes the v1 (model-less) record kept for
-  /// pre-registry compatibility. Returns the record's sequence number
-  /// (1-based position in the file), the unit of replication acking.
-  std::uint64_t append_accepted(std::uint64_t id, std::size_t rows,
-                                const std::vector<std::uint8_t>& codes);
-  /// Model-tagged accept record (v2): persists the (name, version) the
-  /// request pinned at admission.
+  /// WAL accept record — call before the request is enqueued. Persists
+  /// the (name, version) the request pinned at admission. Returns the
+  /// record's sequence number (1-based position in the file), the unit
+  /// of replication acking.
   std::uint64_t append_accepted(std::uint64_t id, const std::string& model,
                                 std::uint64_t model_version,
                                 std::size_t rows,
@@ -149,7 +143,8 @@ class RequestJournal {
   const std::string& path() const { return path_; }
 
   /// Parses a journal file, tolerating a torn tail. A missing file
-  /// yields an empty replay.
+  /// yields an empty replay; a whole frame holding an unknown record
+  /// type throws CheckError.
   static JournalReplay read(const std::string& path);
 
   /// Decodes one record payload (the framed blob's contents). Returns

@@ -1,5 +1,6 @@
 #include "serve/request_queue.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <thread>
 
@@ -70,45 +71,48 @@ bool RequestQueue::try_push(InferenceRequest&& req) {
   return true;
 }
 
-PopStatus RequestQueue::pop_compatible(
-    std::size_t max_rows, Clock::time_point deadline,
-    InferenceRequest* out, const void* model_key,
+std::size_t RequestQueue::pop_compatible(
+    std::size_t max_rows, const void* model_key, Clock::time_point now,
     Clock::time_point no_skip_enqueued_before,
-    Clock::time_point no_skip_deadline_before) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    // Model-affine scan: the first request pinned to the forming
-    // batch's model (the plain head when no key is given). Per-model
-    // FIFO is preserved — candidates are considered in admission order
-    // — while other models' requests are left in place for the workers
-    // batching those models, so interleaved multi-model traffic does
-    // not fragment batches.
+    std::vector<InferenceRequest>* out,
+    std::vector<InferenceRequest>* expired) {
+  std::size_t taken = 0;
+  std::size_t removed = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Single compacting pass: taken and expired requests leave the
+    // deque, every other request slides down to `keep` in order.
+    auto keep = items_.begin();
     auto it = items_.begin();
-    if (model_key != nullptr) {
-      while (it != items_.end() && it->model.get() != model_key) {
+    for (; it != items_.end() && taken < max_rows; ++it) {
+      if (model_key != nullptr && it->model.get() != model_key) {
         // Starvation guard: refuse to reach past another model's
         // request once it has aged beyond the caller's skip bound or
-        // its SLO deadline is imminent. Without this, sustained
-        // hot-model traffic keeps the scan hopping over a cold model's
-        // head forever.
+        // its SLO deadline has come. Without this, sustained hot-model
+        // traffic keeps the scan hopping over a cold model's head
+        // forever.
         if (it->enqueued_at <= no_skip_enqueued_before ||
-            it->deadline <= no_skip_deadline_before)
-          return PopStatus::kWouldExceed;
-        ++it;
+            it->deadline <= now)
+          break;
+        if (keep != it) *keep = std::move(*it);
+        ++keep;
+        continue;
       }
+      if (it->deadline <= now) {
+        expired->push_back(std::move(*it));
+      } else if (it->rows > max_rows - taken) {
+        break;
+      } else {
+        taken += it->rows;
+        out->push_back(std::move(*it));
+      }
+      ++removed;
     }
-    if (it != items_.end()) {
-      if (it->rows > max_rows) return PopStatus::kWouldExceed;
-      *out = std::move(*it);
-      items_.erase(it);
-      lock.unlock();
-      not_full_.notify_one();
-      return PopStatus::kOk;
-    }
-    if (closed_) return PopStatus::kClosed;
-    if (Clock::now() >= deadline) return PopStatus::kTimeout;
-    not_empty_.wait_until(lock, deadline);
+    if (removed > 0)
+      items_.erase(std::move(it, items_.end(), keep), items_.end());
   }
+  if (removed > 0) not_full_.notify_all();
+  return taken;
 }
 
 PopStatus RequestQueue::pop_wait(InferenceRequest* out) {

@@ -132,13 +132,10 @@ struct InferenceRequest {
   }
 };
 
-/// Outcome of a budgeted pop (see RequestQueue::pop_compatible).
+/// Outcome of a blocking pop (see RequestQueue::pop_wait).
 enum class PopStatus {
-  kOk,           ///< *out holds a request
-  kWouldExceed,  ///< head is larger than the remaining budget, or pinned
-                 ///< to a different model than the forming batch
-  kTimeout,      ///< deadline passed with no compatible request
-  kClosed,       ///< queue closed and fully drained
+  kOk,      ///< *out holds a request
+  kClosed,  ///< queue closed and fully drained
 };
 
 class RequestQueue {
@@ -152,26 +149,27 @@ class RequestQueue {
   /// Non-blocking push; false when full or closed.
   bool try_push(InferenceRequest&& req);
 
-  /// Pops the first request pinned to `model_key` (any request when
-  /// null) once it fits within `max_rows`; waits until the deadline
-  /// passes or the queue is closed and drained otherwise. Model-affine:
-  /// requests for other models are skipped in place (their own batches
-  /// pick them up), so per-model FIFO is preserved while multi-model
-  /// interleave never fragments batches. An oversized first candidate
-  /// is reported (kWouldExceed), never skipped.
+  /// Non-blocking batch fill, in one locked pass over the queue in
+  /// admission order: moves every request pinned to `model_key` (any
+  /// request when null) into `out` while their rows fit within
+  /// `max_rows`, and returns the rows taken. Model-affine: requests for
+  /// other models are skipped in place (their own batches pick them
+  /// up), so per-model FIFO is preserved while multi-model interleave
+  /// never fragments batches. A candidate larger than the remaining
+  /// budget ends the pass — it is never skipped. Candidates whose SLO
+  /// deadline is at or before `now` are moved to `expired` instead and
+  /// take no budget.
   ///
   /// Starvation guard: scanning past another model's request is only
-  /// allowed while that request is still "fresh". If a skipped request
-  /// was enqueued at or before `no_skip_enqueued_before`, or its SLO
-  /// deadline is at or before `no_skip_deadline_before`, the pop
-  /// returns kWouldExceed instead — closing the forming batch so the
-  /// next pop_wait serves the aged head. The defaults (time_point::min)
-  /// disable both bounds.
-  PopStatus pop_compatible(
-      std::size_t max_rows, Clock::time_point deadline,
-      InferenceRequest* out, const void* model_key = nullptr,
-      Clock::time_point no_skip_enqueued_before = Clock::time_point::min(),
-      Clock::time_point no_skip_deadline_before = Clock::time_point::min());
+  /// allowed while that request is still "fresh". The pass ends at a
+  /// request of another model that was enqueued at or before
+  /// `no_skip_enqueued_before`, or whose deadline is at or before
+  /// `now`, so the next pop_wait serves the aged head.
+  std::size_t pop_compatible(std::size_t max_rows, const void* model_key,
+                             Clock::time_point now,
+                             Clock::time_point no_skip_enqueued_before,
+                             std::vector<InferenceRequest>* out,
+                             std::vector<InferenceRequest>* expired);
 
   /// Blocking pop with no budget or deadline; kOk or kClosed. Serves
   /// the oldest request of the most urgent priority class present

@@ -150,9 +150,9 @@ class RolloutManager : public BatchObserver {
   RolloutReport report(const std::string& name) const;
   std::vector<RolloutReport> reports() const;
 
-  /// Blocks until `name` reaches kPromoted or kRolledBack (or timeout).
-  /// Returns the terminal state reached, or the current state on
-  /// timeout.
+  /// Blocks until `name` reaches kPromoted or kRolledBack and the
+  /// verdict has reached the registry (or timeout). Returns the terminal
+  /// state reached, or the current state on timeout.
   RolloutState wait_for_decision(const std::string& name,
                                  std::chrono::milliseconds timeout);
 
@@ -179,6 +179,9 @@ class RolloutManager : public BatchObserver {
     maddness::Config cfg;
     std::uint64_t live_version = 0;
     RolloutState state = RolloutState::kIdle;
+    /// The terminal verdict has reached the registry (set after the
+    /// promote/discard call that follows the state change).
+    bool verdict_applied = false;
 
     // --- traffic reservoir (Algorithm R), preallocated ---
     std::size_t cols = 0;

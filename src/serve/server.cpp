@@ -16,45 +16,8 @@
 
 namespace ssma::serve {
 
-namespace {
-
-/// Folds the deprecated v1 ServerOptions shim fields into the engine
-/// options: a shim left at its default defers to `opts.engine`.
-engine::EngineOptions resolved_engine_options(const ServerOptions& opts) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  engine::EngineOptions eo = opts.engine;
-  if (opts.mode != engine::Backend::kKernel) eo.backend = opts.mode;
-  if (opts.device_ns_per_token != 0.0)
-    eo.device_ns_per_token = opts.device_ns_per_token;
-  const core::AcceleratorOptions dflt;
-  const core::AcceleratorOptions& a = opts.accel;
-  if (a.ndec != dflt.ndec || a.ns != dflt.ns ||
-      a.op.vdd != dflt.op.vdd || a.op.corner != dflt.op.corner ||
-      a.op.temp_c != dflt.op.temp_c)
-    eo.accel = a;
-  return eo;
-#pragma GCC diagnostic pop
-}
-
-std::shared_ptr<engine::ModelRegistry> registry_with_default(
-    const maddness::Amm& amm) {
-  auto registry = std::make_shared<engine::ModelRegistry>();
-  registry->register_model(engine::ModelRegistry::kDefaultModel, amm);
-  return registry;
-}
-
-}  // namespace
-
 InferenceServer::InferenceServer(const ServerOptions& opts)
     : InferenceServer(std::make_shared<engine::ModelRegistry>(), opts) {}
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-InferenceServer::InferenceServer(const maddness::Amm& amm,
-                                 const ServerOptions& opts)
-    : InferenceServer(registry_with_default(amm), opts) {}
-#pragma GCC diagnostic pop
 
 InferenceServer::InferenceServer(
     std::shared_ptr<engine::ModelRegistry> registry,
@@ -69,7 +32,7 @@ InferenceServer::InferenceServer(
 
   WorkerPoolOptions wopts;
   wopts.num_workers = opts.num_workers;
-  wopts.engine = resolved_engine_options(opts);
+  wopts.engine = opts.engine;
   wopts.batcher = opts.batcher;
   wopts.fault = recovery_.fault;
   wopts.journal = recovery_.journal;
@@ -94,17 +57,8 @@ std::unique_ptr<InferenceServer> InferenceServer::restore(
                  "restore needs a valid checkpoint (the server writes "
                  "one at startup — was the checkpoint dir lost?)");
   auto registry = std::make_shared<engine::ModelRegistry>();
-  if (rs.checkpoint.is_v1()) {
-    // v1 record: one anonymous operator — adopt it as the implicitly
-    // named default model, version 1.
-    if (!rs.checkpoint.amm_blob.empty())
-      registry->install(engine::ModelHandle::from_blob(
-          engine::ModelRegistry::kDefaultModel, 1,
-          rs.checkpoint.amm_blob));
-  } else {
-    std::istringstream is(rs.checkpoint.registry_blob);
-    registry->load(is);
-  }
+  std::istringstream is(rs.checkpoint.registry_blob);
+  registry->load(is);
   auto server = std::make_unique<InferenceServer>(
       std::move(registry), opts, rs.next_request_id);
   server->accepted_.store(rs.checkpoint.accepted_requests,
@@ -334,13 +288,6 @@ std::future<InferenceResult> InferenceServer::submit(
   return submit(registry_->resolve(model_ref), std::move(codes), rows);
 }
 
-std::future<InferenceResult> InferenceServer::submit(
-    std::vector<std::uint8_t> codes, std::size_t rows) {
-  return submit(registry_->resolve(engine::ModelRegistry::kDefaultModel,
-                                   0),
-                std::move(codes), rows);
-}
-
 std::vector<std::future<InferenceResult>> InferenceServer::submit_batch(
     const std::string& model_ref,
     const maddness::QuantizedActivations& q,
@@ -357,31 +304,19 @@ std::vector<std::future<InferenceResult>> InferenceServer::submit_batch(
   return futures;
 }
 
-std::vector<std::future<InferenceResult>> InferenceServer::submit_batch(
-    const maddness::QuantizedActivations& q,
-    std::size_t rows_per_request) {
-  return submit_batch(engine::ModelRegistry::kDefaultModel, q,
-                      rows_per_request);
-}
-
 std::vector<std::future<InferenceResult>> InferenceServer::replay(
     const std::vector<recovery::AcceptedRecord>& requests) {
   SSMA_TRACE_SPAN(kReplay);
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(requests.size());
   for (const recovery::AcceptedRecord& rec : requests) {
-    // v1-era records carry no model tag: they predate the registry and
-    // can only mean the implicitly-named default model.
-    const std::string& name = rec.model.empty()
-                                  ? engine::ModelRegistry::kDefaultModel
-                                  : rec.model;
     engine::ModelRef model =
-        registry_->try_resolve(name, rec.model_version);
+        registry_->try_resolve(rec.model, rec.model_version);
     if (!model) {
       std::promise<InferenceResult> p;
       std::ostringstream oss;
       oss << "replay: journaled request " << rec.id << " pinned model "
-          << name << "@" << rec.model_version
+          << rec.model << "@" << rec.model_version
           << " which the restored registry does not contain";
       p.set_exception(std::make_exception_ptr(CheckError(oss.str())));
       futures.push_back(p.get_future());

@@ -41,11 +41,6 @@ namespace replication {
 class ReplicationLog;
 }  // namespace replication
 
-/// Backwards-compatible name for the backend selector that used to live
-/// here as an enum-switch; prefer engine::Backend in new code.
-using ExecutionMode [[deprecated("use engine::Backend")]] =
-    engine::Backend;
-
 /// Post-ack tap on the worker hot path. `on_batch` runs on the shard
 /// thread after the batch's futures are fulfilled, with the stitched
 /// activation codes and the output accumulators still alive — an

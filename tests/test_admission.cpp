@@ -195,16 +195,6 @@ TEST_F(AdmissionQueueTest, PopWaitServesMostUrgentClassFirst) {
   EXPECT_EQ(out.id, 1u);  // low last
 }
 
-TEST_F(AdmissionQueueTest, PopCompatibleExpiredDeadlineReturnsWithoutBlocking) {
-  RequestQueue q(4);
-  InferenceRequest out;
-  const auto start = Clock::now();
-  // Empty queue + a wait deadline already in the past: must return
-  // kTimeout immediately, not park on the condition variable.
-  EXPECT_EQ(q.pop_compatible(8, start - 1s, &out), PopStatus::kTimeout);
-  EXPECT_LT(Clock::now() - start, 200ms);
-}
-
 TEST_F(AdmissionQueueTest, StarvationGuardStopsModelAffineSkipping) {
   // Regression for the unbounded skip: a cold model's aged head used to
   // be hopped over indefinitely while hot-model traffic kept batching.
@@ -218,7 +208,6 @@ TEST_F(AdmissionQueueTest, StarvationGuardStopsModelAffineSkipping) {
 
   BatcherOptions bopts;
   bopts.max_batch_tokens = 8;
-  bopts.max_wait = std::chrono::microseconds(2000);
   bopts.max_skip_age = std::chrono::microseconds(5000);  // 5 ms
   const Batcher batcher(bopts);
 
@@ -244,7 +233,6 @@ TEST_F(AdmissionQueueTest, FreshOtherModelTrafficStillSkipsAndCoalesces) {
 
   BatcherOptions bopts;
   bopts.max_batch_tokens = 2;
-  bopts.max_wait = std::chrono::microseconds(200);
   bopts.max_skip_age = std::chrono::microseconds(1000000);  // 1 s
   const Batcher batcher(bopts);
 
@@ -264,7 +252,6 @@ TEST_F(AdmissionQueueTest, OversizedFirstRequestServedAlone) {
 
   BatcherOptions bopts;
   bopts.max_batch_tokens = 8;  // budget far below the request
-  bopts.max_wait = std::chrono::microseconds(100);
   const Batcher batcher(bopts);
   Batch b = batcher.next_batch(q);
   ASSERT_EQ(b.requests.size(), 1u);
@@ -287,7 +274,6 @@ TEST_F(AdmissionQueueTest, ExpiredRequestsDroppedAtFormationWithTypedError) {
   ASSERT_TRUE(q.push(make_req(8, hot_)));
 
   BatcherOptions bopts;
-  bopts.max_wait = std::chrono::microseconds(100);
   const Batcher batcher(bopts);
   Batch b = batcher.next_batch(q);
   ASSERT_EQ(b.requests.size(), 1u);

@@ -165,6 +165,29 @@ TEST(Accelerator, ReportHasConsistentMetrics) {
   EXPECT_NE(text.find("TOPS/W"), std::string::npos);
 }
 
+TEST(Accelerator, LoneTokenReportTakesAnalyticInterval) {
+  // One token leaves no spacing between completions to measure; the
+  // report falls back to the closed-form average-data interval instead
+  // of reading a zero rate.
+  Rng rng(9);
+  const auto amm = train_test_amm(rng, 4, 4);
+  Matrix x(1, 36);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x.data()[i] = static_cast<float>(rng.next_double(0, 200));
+  const auto q = maddness::quantize_activations(x, amm.activation_scale());
+
+  core::AcceleratorOptions opts;
+  opts.ndec = 4;
+  opts.ns = 4;
+  core::Accelerator acc(opts);
+  const core::PpaReport r = acc.run(amm, q).report;
+  const ppa::AnalyticPerf perf({opts.ndec, opts.ns}, opts.op);
+  EXPECT_DOUBLE_EQ(r.token_interval_ns, perf.avg_block_latency_ns());
+  EXPECT_DOUBLE_EQ(r.freq_mhz, 1e3 / r.token_interval_ns);
+  EXPECT_GT(r.throughput_tops, 0.0);
+  EXPECT_NEAR(r.tops_per_mm2 * r.core_mm2, r.throughput_tops, 1e-9);
+}
+
 TEST(Accelerator, AnalyticReportMatchesPaperFlagship) {
   core::AcceleratorOptions opts;  // defaults: 16 x 32 @ 0.5 V
   core::Accelerator acc(opts);

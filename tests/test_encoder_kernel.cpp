@@ -24,10 +24,6 @@
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
 
-// These suites deliberately keep exercising the deprecated v1
-// one-model constructor — it is the compatibility shim under test.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 #include "util/rng.hpp"
 
 using namespace ssma;
@@ -329,10 +325,8 @@ TEST(EncoderKernel, AmmEncodePathsMatchReferenceWalk) {
   const auto q = quantize_activations(train, amm.activation_scale());
   // Row-major encode vs the scalar reference.
   EXPECT_EQ(amm.encode(q), encode_all(cfg, amm.trees(), q));
-  // Codebook-major cache vs both scalar references.
-  const EncodedBatch enc = amm.encode_batch(q);
-  EXPECT_EQ(enc.codes, encode_all_codebook_major(cfg, amm.trees(), q));
-  EXPECT_EQ(enc.codes, reference_codes(cfg, amm.trees(), q));
+  // Codebook-major cache vs the per-row reference walk.
+  EXPECT_EQ(amm.encode_batch(q).codes, reference_codes(cfg, amm.trees(), q));
 }
 
 // ------------------------------------------------- steady-state scratch
@@ -438,16 +432,16 @@ TEST(EncoderKernel, ServeJournalReplayStaysBitExactWithNewEncoder) {
     opts.num_workers = 1;
     opts.queue_capacity = 2 * kRequests;
     opts.batcher.max_batch_tokens = 2;
-    opts.batcher.max_wait = std::chrono::microseconds(0);
     opts.recovery.fault = &fault;
     opts.recovery.journal = &journal;
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.checkpoint_every = 6;
     opts.recovery.supervise = false;
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(opts);
+    server.register_model("m", f.amm);
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(f.codes_for(id), 1));
+      futs.push_back(server.submit("m", f.codes_for(id), 1));
     server.shutdown();
     for (auto& fut : futs) {
       try {

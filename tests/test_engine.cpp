@@ -379,7 +379,7 @@ TEST(Pipeline, RegisterSegmentsCollapsesChainsAndSplitsAtBreaks) {
 
 // ------------------------------------------- MaddnessNetwork export
 
-TEST(Pipeline, RegisterNetworkLayersServesConvPatchesBitExact) {
+TEST(Pipeline, RegisterNetworkServesConvPatchesBitExact) {
   Rng rng(1);
   nn::Dataset data = nn::make_synthetic_dataset(rng, 60, 8, 8);
   nn::Network net;
@@ -402,15 +402,18 @@ TEST(Pipeline, RegisterNetworkLayersServesConvPatchesBitExact) {
   const nn::MaddnessNetwork mnet(net, calib);
   ASSERT_EQ(mnet.num_substituted_convs(), 2u);
 
+  // 3x3 conv shapes never chain (conv1 consumes 9*8 patch columns,
+  // conv0 produced 8 channels), so each layer becomes its own
+  // single-stage segment.
   ModelRegistry reg;
-  const std::vector<std::string> names =
-      register_network_layers(reg, "cnn", mnet);
-  EXPECT_EQ(names, (std::vector<std::string>{"cnn.conv0", "cnn.conv1"}));
+  const std::vector<std::string> names = register_network(reg, "cnn", mnet);
+  EXPECT_EQ(names, (std::vector<std::string>{"cnn.seg0", "cnn.seg1"}));
 
   // Each registered layer serves its conv's im2col patch matmul
   // bit-exactly: the served CNN-feature workload.
   for (std::size_t i = 0; i < names.size(); ++i) {
     const ModelRef layer = reg.resolve(names[i]);
+    EXPECT_FALSE(layer->is_pipeline());
     const maddness::Amm& amm = mnet.substituted_conv(i).amm();
     EXPECT_EQ(layer->cols(),
               static_cast<std::size_t>(amm.cfg().total_dims()));
@@ -428,15 +431,6 @@ TEST(Pipeline, RegisterNetworkLayersServesConvPatchesBitExact) {
     EXPECT_EQ(out, amm.apply_int16(patches))
         << names[i] << " diverged from the network's operator";
   }
-
-  // register_network on the same net: 3x3 conv shapes never chain
-  // (conv1 consumes 9*8 patch columns, conv0 produced 8 channels), so
-  // each layer becomes its own single-stage segment.
-  ModelRegistry seg_reg;
-  EXPECT_EQ(register_network(seg_reg, "cnn", mnet),
-            (std::vector<std::string>{"cnn.seg0", "cnn.seg1"}));
-  EXPECT_FALSE(seg_reg.resolve("cnn.seg0")->is_pipeline());
-  EXPECT_FALSE(seg_reg.resolve("cnn.seg1")->is_pipeline());
 }
 
 }  // namespace

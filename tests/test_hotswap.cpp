@@ -40,12 +40,12 @@ TEST(HotSwap, VersionBumpUnderLoadLosesNothingAndStaysBitExact) {
   opts.num_workers = 4;
   opts.queue_capacity = 128;
   opts.batcher.max_batch_tokens = 8;
-  opts.batcher.max_wait = std::chrono::microseconds(50);
   InferenceServer server(opts);
   ASSERT_EQ(server.register_model("alpha", old_fx.amm), 1u);
 
   constexpr int kClients = 4;
   constexpr std::size_t kPerClient = 150;
+  constexpr std::size_t kAfterSwap = 10;
   struct Served {
     InferenceResult res;
     std::size_t row;
@@ -53,13 +53,23 @@ TEST(HotSwap, VersionBumpUnderLoadLosesNothingAndStaysBitExact) {
   std::vector<std::vector<Served>> served(kClients);
   std::atomic<std::size_t> completed{0};
   std::atomic<bool> swapped{false};
+  // A failed swap ends the clients' after-swap loop instead of hanging
+  // it; the swapper's EXPECT reports the failure.
+  std::atomic<bool> swap_failed{false};
 
   // Closed-loop clients: each waits for its response before the next
-  // submit, so the stream stays live across the whole swap window.
+  // submit, so the stream stays live across the whole swap window. A
+  // client keeps going past kPerClient until it has submitted
+  // kAfterSwap requests after seeing the swap, so the stream is still
+  // live when the swapper thread runs, however fast requests complete.
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      for (std::size_t k = 0; k < kPerClient; ++k) {
+      std::size_t after_swap = 0;
+      for (std::size_t k = 0;
+           k < kPerClient || (after_swap < kAfterSwap && !swap_failed);
+           ++k) {
+        if (swapped.load(std::memory_order_acquire)) ++after_swap;
         const std::size_t row =
             (static_cast<std::size_t>(c) * kPerClient + k) %
             old_fx.pool.rows;
@@ -80,8 +90,11 @@ TEST(HotSwap, VersionBumpUnderLoadLosesNothingAndStaysBitExact) {
     while (completed.load(std::memory_order_relaxed) <
            kClients * kPerClient / 4)
       std::this_thread::yield();
-    ASSERT_EQ(server.register_model("alpha", new_fx.amm), 2u);
-    swapped.store(true, std::memory_order_release);
+    const std::uint64_t version =
+        server.register_model("alpha", new_fx.amm);
+    EXPECT_EQ(version, 2u);
+    (version == 2u ? swapped : swap_failed)
+        .store(true, std::memory_order_release);
   });
   for (std::thread& t : clients) t.join();
   swapper.join();
@@ -102,16 +115,18 @@ TEST(HotSwap, VersionBumpUnderLoadLosesNothingAndStaysBitExact) {
           << " diverged from that bank's reference";
       (res.model_version == 1 ? served_v1 : served_v2)++;
     }
-  EXPECT_EQ(served_v1 + served_v2, kClients * kPerClient);
-  // The swap fired mid-stream: both banks actually served traffic.
+  EXPECT_EQ(served_v1 + served_v2, completed.load());
+  EXPECT_GE(completed.load(), kClients * kPerClient);
+  // The swap fired mid-stream: both banks actually served traffic (each
+  // request submitted after a client saw the swap resolved v2).
   EXPECT_GT(served_v1, 0u);
-  EXPECT_GT(served_v2, 0u);
+  EXPECT_GE(served_v2, kClients * kAfterSwap);
 
   server.shutdown();
   const MetricsSnapshot s = server.metrics();
-  EXPECT_EQ(s.requests, kClients * kPerClient);
+  EXPECT_EQ(s.requests, completed.load());
   ASSERT_NE(s.for_model("alpha"), nullptr);
-  EXPECT_EQ(s.for_model("alpha")->requests, kClients * kPerClient);
+  EXPECT_EQ(s.for_model("alpha")->requests, completed.load());
 }
 
 TEST(HotSwap, ExplicitVersionRefsKeepServingAfterTheBump) {

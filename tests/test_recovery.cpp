@@ -33,11 +33,7 @@
 #include "serve/replication/replication.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
-
-// These suites deliberately keep exercising the deprecated v1
-// one-model constructor — it is the compatibility shim under test.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
+#include "util/wire.hpp"
 
 namespace ssma::serve {
 namespace {
@@ -116,7 +112,7 @@ TEST(Checkpoint, WriteLoadRoundTrip) {
   TmpDir dir("ckpt");
   CheckpointManager mgr(dir.str());
   CheckpointState st;
-  st.amm_blob = "not-a-real-blob-but-any-bytes";
+  st.registry_blob = "not-a-real-blob-but-any-bytes";
   st.next_request_id = 42;
   st.accepted_requests = 40;
   st.completed_requests = 37;
@@ -129,7 +125,7 @@ TEST(Checkpoint, WriteLoadRoundTrip) {
   const auto loaded = mgr.load_latest(&version);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(version, 2u);
-  EXPECT_EQ(loaded->amm_blob, st.amm_blob);
+  EXPECT_EQ(loaded->registry_blob, st.registry_blob);
   EXPECT_EQ(loaded->next_request_id, 42u);
   EXPECT_EQ(loaded->accepted_requests, 40u);
   EXPECT_EQ(loaded->completed_requests, 37u);
@@ -148,7 +144,7 @@ TEST(Checkpoint, TornWriteFallsBackToLastValidVersion) {
   CheckpointManager mgr(dir.str(), &fault);
 
   CheckpointState v1;
-  v1.amm_blob = std::string(2048, 'a');
+  v1.registry_blob = std::string(2048, 'a');
   v1.next_request_id = 100;
   EXPECT_EQ(mgr.write(v1), 1u);
 
@@ -185,10 +181,10 @@ TEST(Journal, ReplaySeparatesUnacknowledgedFromCompleted) {
   const std::string path = dir.file("requests.jnl");
   {
     RequestJournal jnl(path);
-    jnl.append_accepted(0, 1, {1, 2, 3, 4});
-    jnl.append_accepted(1, 2, {5, 6, 7, 8});
+    jnl.append_accepted(0, "m", 1, 1, {1, 2, 3, 4});
+    jnl.append_accepted(1, "m", 1, 2, {5, 6, 7, 8});
     jnl.append_completed(0, /*worker_id=*/2, /*output_crc=*/0xDEAD);
-    jnl.append_accepted(2, 1, {9, 9, 9, 9});
+    jnl.append_accepted(2, "m", 1, 1, {9, 9, 9, 9});
   }
   const auto replay = RequestJournal::read(path);
   EXPECT_EQ(replay.accepted, 3u);
@@ -218,8 +214,8 @@ TEST(Journal, TornTailIsDroppedNotMisparsed) {
   const std::string path = dir.file("requests.jnl");
   {
     RequestJournal jnl(path);
-    jnl.append_accepted(0, 1, {1, 2, 3, 4});
-    jnl.append_accepted(1, 1, {5, 6, 7, 8});
+    jnl.append_accepted(0, "m", 1, 1, {1, 2, 3, 4});
+    jnl.append_accepted(1, "m", 1, 1, {5, 6, 7, 8});
   }
   // Truncate mid-record: the crash tail a real power cut leaves.
   const std::string whole = slurp(path);
@@ -245,8 +241,8 @@ TEST(Journal, ReopenTruncatesTornTailSoNewAppendsStayReadable) {
   const std::string path = dir.file("requests.jnl");
   {
     RequestJournal jnl(path);
-    jnl.append_accepted(0, 1, {1, 2, 3, 4});
-    jnl.append_accepted(1, 1, {5, 6, 7, 8});
+    jnl.append_accepted(0, "m", 1, 1, {1, 2, 3, 4});
+    jnl.append_accepted(1, "m", 1, 1, {5, 6, 7, 8});
   }
   // Crash tail: half of record 2 on disk.
   const std::string whole = slurp(path);
@@ -265,7 +261,7 @@ TEST(Journal, ReopenTruncatesTornTailSoNewAppendsStayReadable) {
     EXPECT_EQ(jnl.durable_bytes(),
               static_cast<std::uint64_t>(
                   std::filesystem::file_size(path)));
-    jnl.append_accepted(9, 1, {9, 9, 9, 9});
+    jnl.append_accepted(9, "m", 1, 1, {9, 9, 9, 9});
     EXPECT_EQ(jnl.durable_bytes(),
               static_cast<std::uint64_t>(
                   std::filesystem::file_size(path)));
@@ -290,7 +286,7 @@ TEST(Journal, TornMagicIsRewrittenForeignFileIsRefused) {
   }
   {
     RequestJournal jnl(torn);
-    jnl.append_accepted(7, 1, {1, 2, 3, 4});
+    jnl.append_accepted(7, "m", 1, 1, {1, 2, 3, 4});
   }
   const auto replay = RequestJournal::read(torn);
   EXPECT_EQ(replay.accepted, 1u);
@@ -303,6 +299,61 @@ TEST(Journal, TornMagicIsRewrittenForeignFileIsRefused) {
     os.write("NOTAJRNL-data", 13);
   }
   EXPECT_THROW(RequestJournal{foreign}, CheckError);
+}
+
+// The retired pre-registry formats — the model-less type-1 journal
+// accept record and the single-model v1 checkpoint — are no longer
+// read. Each must be refused loudly, never decoded as something else.
+TEST(Recovery, RetiredV1FormatsFailLoudly) {
+  TmpDir dir("retired");
+  // A type-1 record exactly as the old writer framed it: type, id,
+  // rows, code count, codes.
+  std::ostringstream v1_record;
+  wire::put_u8(v1_record, 1);
+  wire::put_u64(v1_record, 0);
+  wire::put_u64(v1_record, 1);
+  wire::put_u64(v1_record, 4);
+  v1_record.write("\x01\x02\x03\x04", 4);
+  recovery::ParsedRecord parsed;
+  EXPECT_FALSE(RequestJournal::parse_record(v1_record.str(), &parsed));
+  const std::string jpath = dir.file("v1.jnl");
+  {
+    RequestJournal jnl(jpath);
+    jnl.append_raw(v1_record.str());
+  }
+  try {
+    RequestJournal::read(jpath);
+    FAIL() << "a type-1 journal record must not decode";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown journal record type 1"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // A v1 checkpoint: a well-formed file whose magic ends in '1'.
+  CheckpointManager mgr(dir.file("ckpt"));
+  CheckpointState st;
+  st.registry_blob = "any-bytes";
+  ASSERT_EQ(mgr.write(st), 1u);
+  std::string bytes = slurp(mgr.path_of(1));
+  ASSERT_EQ(bytes[7], '2');
+  bytes[7] = '1';
+  {
+    std::ofstream os(mgr.path_of(2), std::ios::binary);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    CheckpointManager::load_file(mgr.path_of(2));
+    FAIL() << "a v1 checkpoint must not load";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("not an SSMA checkpoint"),
+              std::string::npos)
+        << e.what();
+  }
+  // Recovery skips it like any invalid version.
+  std::uint64_t version = 0;
+  ASSERT_TRUE(mgr.load_latest(&version).has_value());
+  EXPECT_EQ(version, 1u);
 }
 
 // ---------------------------------------- crash-at-every-point matrix
@@ -344,17 +395,17 @@ TEST(Recovery, CrashAtEveryStageSupervisedIsBitExact) {
     ServerOptions opts;
     opts.num_workers = 2;
     opts.batcher.max_batch_tokens = 4;
-    opts.batcher.max_wait = std::chrono::microseconds(50);
     opts.recovery.fault = &fault;
     opts.recovery.journal = &journal;
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.supervise = true;
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(opts);
+    server.register_model("m", f.amm);
 
     constexpr std::size_t kRequests = 48;
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(f.codes_for(id), 1));
+      futs.push_back(server.submit("m", f.codes_for(id), 1));
     for (std::size_t id = 0; id < futs.size(); ++id)
       EXPECT_EQ(futs[id].get().outputs, f.expected(id % f.pool.rows, 1))
           << "request " << id
@@ -414,17 +465,17 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
     opts.num_workers = 1;  // deterministic: the one shard dies
     opts.queue_capacity = 2 * kRequests;  // crash must not block submit
     opts.batcher.max_batch_tokens = 1;
-    opts.batcher.max_wait = std::chrono::microseconds(0);
     opts.recovery.fault = &fault;
     opts.recovery.journal = &journal;
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.checkpoint_every = 8;
     opts.recovery.supervise = false;  // a crash is a crash
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(opts);
+    server.register_model("m", f.amm);
 
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(payloads[id], 1));
+      futs.push_back(server.submit("m", payloads[id], 1));
     server.shutdown();  // the "process" dies: unserved futures fail
 
     for (std::size_t id = 0; id < futs.size(); ++id) {
@@ -469,7 +520,7 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
         << "replayed request " << rec.id << " diverged";
   }
   // New admissions continue past the recovered watermark.
-  auto fresh = server->submit(f.codes_for(0), 1);
+  auto fresh = server->submit("m", f.codes_for(0), 1);
   EXPECT_EQ(fresh.get().request_id, kRequests);
   server->shutdown();
 
@@ -503,13 +554,13 @@ TEST(Recovery, UnsupervisedCrashFailsFuturesLoudly) {
   opts.num_workers = 1;
   opts.queue_capacity = 64;
   opts.batcher.max_batch_tokens = 1;
-  opts.batcher.max_wait = std::chrono::microseconds(0);
   opts.recovery.fault = &fault;
-  InferenceServer server(f.amm, opts);
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
 
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < 4; ++id)
-    futs.push_back(server.submit(f.codes_for(id), 1));
+    futs.push_back(server.submit("m", f.codes_for(id), 1));
   server.shutdown();
 
   std::size_t failed = 0;
@@ -532,11 +583,12 @@ TEST(Recovery, CheckpointCadenceWritesVersions) {
   opts.num_workers = 2;
   opts.recovery.checkpoints = &ckpts;
   opts.recovery.checkpoint_every = 4;
-  InferenceServer server(f.amm, opts);
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
 
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < 12; ++id)
-    futs.push_back(server.submit(f.codes_for(id), 1));
+    futs.push_back(server.submit("m", f.codes_for(id), 1));
   for (auto& fut : futs) fut.get();
   server.shutdown();
 
@@ -546,100 +598,22 @@ TEST(Recovery, CheckpointCadenceWritesVersions) {
   const auto latest = ckpts.load_latest(&version);
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->next_request_id, 12u);
-  // A live server writes the v2 (registry) record; the operator comes
-  // back as the implicitly-named default model, version 1.
-  ASSERT_FALSE(latest->is_v1());
+  // The registry record brings the operator back as m@1.
   engine::ModelRegistry registry;
   std::istringstream is(latest->registry_blob);
   registry.load(is);
-  const engine::ModelRef replica = registry.resolve("default@1");
+  const engine::ModelRef replica = registry.resolve("m@1");
   EXPECT_EQ(replica->amm().apply_int16(f.pool), f.amm.apply_int16(f.pool));
-}
-
-// --------------------------------------------- golden checkpoint file
-
-// Guards the on-disk checkpoint format against drift: a fixture
-// checkpoint is committed to tests/data/ and must (a) load with the
-// exact field values it was written with, (b) serve bit-identical
-// outputs recorded next to it, and (c) re-encode byte-identically.
-// Regenerate (format bumps only) by running test_recovery with
-// --gtest_also_run_disabled_tests
-// --gtest_filter='*RegenerateGoldenCheckpoint*'
-namespace golden {
-constexpr std::uint64_t kVersion = 1;
-constexpr std::uint64_t kNextId = 77;
-constexpr std::uint64_t kAccepted = 70;
-constexpr std::uint64_t kCompleted = 66;
-constexpr std::uint64_t kTokens = 132;
-constexpr std::uint64_t kBatches = 17;
-constexpr std::size_t kProbeRows = 8;
-
-std::string checkpoint_path() {
-  return std::string(SSMA_TEST_DATA_DIR) + "/checkpoint-000001.ssck";
-}
-std::string outputs_path() {
-  return std::string(SSMA_TEST_DATA_DIR) + "/golden_outputs.txt";
-}
-
-/// The operator the golden fixture snapshots (deterministic train).
-ServeFixture fixture() { return ServeFixture::make(4, 8, 64, 1234); }
-
-/// Deterministic probe activations — integer pipeline from here on, so
-/// the expected outputs are platform-stable.
-maddness::QuantizedActivations probe(const maddness::Amm& amm) {
-  maddness::QuantizedActivations q;
-  q.rows = kProbeRows;
-  q.cols = static_cast<std::size_t>(amm.cfg().total_dims());
-  q.scale = amm.activation_scale();
-  q.codes.resize(q.rows * q.cols);
-  for (std::size_t i = 0; i < q.codes.size(); ++i)
-    q.codes[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xFF);
-  return q;
-}
-}  // namespace golden
-
-TEST(Recovery, GoldenCheckpointFormatIsStable) {
-  const CheckpointState st =
-      CheckpointManager::load_file(golden::checkpoint_path());
-  EXPECT_EQ(st.next_request_id, golden::kNextId);
-  EXPECT_EQ(st.accepted_requests, golden::kAccepted);
-  EXPECT_EQ(st.completed_requests, golden::kCompleted);
-  EXPECT_EQ(st.tokens, golden::kTokens);
-  EXPECT_EQ(st.batches, golden::kBatches);
-
-  // The embedded operator still decodes the probe to the committed
-  // bits (pure integer pipeline — platform independent).
-  std::istringstream is(st.amm_blob);
-  const maddness::Amm amm = maddness::Amm::load(is);
-  const auto out = amm.apply_int16(golden::probe(amm));
-  std::ifstream want(golden::outputs_path());
-  ASSERT_TRUE(want.is_open()) << golden::outputs_path();
-  std::size_t i = 0;
-  int v = 0;
-  while (want >> v) {
-    ASSERT_LT(i, out.size());
-    EXPECT_EQ(out[i], static_cast<std::int16_t>(v))
-        << "golden output " << i << " drifted";
-    i++;
-  }
-  EXPECT_EQ(i, out.size());
-
-  // save -> load -> save is byte-identical (no serialization drift).
-  TmpDir dir("golden");
-  const std::string again = dir.file("rewrite.ssck");
-  CheckpointManager::write_file(again, golden::kVersion, st);
-  EXPECT_EQ(slurp(again), slurp(golden::checkpoint_path()))
-      << "checkpoint re-encode changed bytes: format drift";
 }
 
 // ---------------------------------------- golden v2 (registry) record
 
-// Same drift guard for the v2 record: a committed checkpoint holding a
-// two-model registry ("alpha" at versions 1 and 2 — a hot-swap
-// snapshot — and "beta" at 1) must load with exact registry contents,
-// decode the probe bit-identically on BOTH alpha banks, and re-encode
-// byte-identically. Regenerate (format bumps only) via
-// --gtest_also_run_disabled_tests
+// Guards the on-disk checkpoint format against drift: a committed
+// checkpoint holding a two-model registry ("alpha" at versions 1 and 2
+// — a hot-swap snapshot — and "beta" at 1) must load with exact
+// registry contents, decode the probe bit-identically on BOTH alpha
+// banks, and re-encode byte-identically. Regenerate (format bumps
+// only) via --gtest_also_run_disabled_tests
 // --gtest_filter='*RegenerateGoldenCheckpointV2*'
 namespace golden_v2 {
 constexpr std::uint64_t kVersion = 1;
@@ -654,6 +628,19 @@ std::string checkpoint_path() {
 }
 std::string outputs_path() {
   return std::string(SSMA_TEST_DATA_DIR) + "/golden_outputs_v2.txt";
+}
+
+/// Deterministic probe activations — integer pipeline from here on, so
+/// the expected outputs are platform-stable.
+maddness::QuantizedActivations probe(const maddness::Amm& amm) {
+  maddness::QuantizedActivations q;
+  q.rows = 8;
+  q.cols = static_cast<std::size_t>(amm.cfg().total_dims());
+  q.scale = amm.activation_scale();
+  q.codes.resize(q.rows * q.cols);
+  for (std::size_t i = 0; i < q.codes.size(); ++i)
+    q.codes[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xFF);
+  return q;
 }
 
 /// The two alpha banks (old and retrained) plus beta — deterministic
@@ -676,8 +663,6 @@ std::string registry_blob() {
 TEST(Recovery, GoldenCheckpointV2FormatIsStable) {
   const CheckpointState st =
       CheckpointManager::load_file(golden_v2::checkpoint_path());
-  EXPECT_FALSE(st.is_v1());
-  EXPECT_TRUE(st.amm_blob.empty());
   EXPECT_EQ(st.next_request_id, golden_v2::kNextId);
   EXPECT_EQ(st.accepted_requests, golden_v2::kAccepted);
   EXPECT_EQ(st.completed_requests, golden_v2::kCompleted);
@@ -696,8 +681,8 @@ TEST(Recovery, GoldenCheckpointV2FormatIsStable) {
   // hot-swap boundary's old AND new outputs are format-stable.
   const maddness::Amm& a1 = reg.resolve("alpha@1")->amm();
   const maddness::Amm& a2 = reg.resolve("alpha@2")->amm();
-  std::vector<std::int16_t> got = a1.apply_int16(golden::probe(a1));
-  const auto v2out = a2.apply_int16(golden::probe(a2));
+  std::vector<std::int16_t> got = a1.apply_int16(golden_v2::probe(a1));
+  const auto v2out = a2.apply_int16(golden_v2::probe(a2));
   got.insert(got.end(), v2out.begin(), v2out.end());
 
   std::ifstream want(golden_v2::outputs_path());
@@ -734,8 +719,8 @@ TEST(Recovery, DISABLED_RegenerateGoldenCheckpointV2) {
 
   const maddness::Amm a1 = golden_v2::alpha_v1().amm;
   const maddness::Amm a2 = golden_v2::alpha_v2().amm;
-  std::vector<std::int16_t> out = a1.apply_int16(golden::probe(a1));
-  const auto v2out = a2.apply_int16(golden::probe(a2));
+  std::vector<std::int16_t> out = a1.apply_int16(golden_v2::probe(a1));
+  const auto v2out = a2.apply_int16(golden_v2::probe(a2));
   out.insert(out.end(), v2out.begin(), v2out.end());
   std::ofstream os(golden_v2::outputs_path());
   for (std::size_t i = 0; i < out.size(); ++i)
@@ -787,7 +772,6 @@ TEST(Recovery, HardCrashReplayAcrossHotSwapBoundaryIsBitExact) {
     opts.num_workers = 1;
     opts.queue_capacity = 4 * (kBeforeSwap + kAfterSwap);
     opts.batcher.max_batch_tokens = 2;
-    opts.batcher.max_wait = std::chrono::microseconds(0);
     opts.recovery.fault = &fault;
     opts.recovery.journal = &journal;
     opts.recovery.checkpoints = &ckpts;
@@ -819,7 +803,6 @@ TEST(Recovery, HardCrashReplayAcrossHotSwapBoundaryIsBitExact) {
   CheckpointManager ckpts(dir.str());
   const auto rs = recovery::recover_state(ckpts, journal_path);
   ASSERT_TRUE(rs.has_checkpoint());
-  ASSERT_FALSE(rs.checkpoint.is_v1());
   ASSERT_FALSE(rs.journal.unacknowledged.empty());
 
   RequestJournal journal(journal_path);
@@ -957,7 +940,6 @@ TEST(Recovery, PipelineReplayAcrossHotSwapIsBitExactThroughFusedPlan) {
     opts.num_workers = 1;
     opts.queue_capacity = 4 * (kBeforeSwap + kAfterSwap);
     opts.batcher.max_batch_tokens = 2;
-    opts.batcher.max_wait = std::chrono::microseconds(0);
     opts.recovery.fault = &fault;
     opts.recovery.journal = &journal;
     opts.recovery.checkpoints = &ckpts;
@@ -1137,7 +1119,6 @@ TEST(Failover, DISABLED_LeaderChildMain) {
   opts.num_workers = 1;  // serialized: the ack log order is the id order
   opts.queue_capacity = 1024;
   opts.batcher.max_batch_tokens = 1;
-  opts.batcher.max_wait = std::chrono::microseconds(0);
   opts.recovery.journal = &journal;
   opts.recovery.checkpoints = &ckpts;
   opts.recovery.checkpoint_every = 4;
@@ -1332,28 +1313,6 @@ TEST(Failover, KillLeaderAtEverySitePromoteByteIdentical) {
     }
     promoted->shutdown();
   }
-}
-
-// Not a test: regenerates the golden fixture after a deliberate format
-// bump. Keep the constants above in sync.
-TEST(Recovery, DISABLED_RegenerateGoldenCheckpoint) {
-  const ServeFixture f = golden::fixture();
-  std::ostringstream blob;
-  f.amm.save(blob);
-  CheckpointState st;
-  st.amm_blob = blob.str();
-  st.next_request_id = golden::kNextId;
-  st.accepted_requests = golden::kAccepted;
-  st.completed_requests = golden::kCompleted;
-  st.tokens = golden::kTokens;
-  st.batches = golden::kBatches;
-  CheckpointManager::write_file(golden::checkpoint_path(),
-                                golden::kVersion, st);
-
-  const auto out = f.amm.apply_int16(golden::probe(f.amm));
-  std::ofstream os(golden::outputs_path());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    os << out[i] << ((i + 1) % 8 == 0 ? "\n" : " ");
 }
 
 }  // namespace

@@ -437,7 +437,6 @@ TEST(Replication, WindowModePassesInsideAndDegradesPastTheWindow) {
   ServerOptions opts;
   opts.num_workers = 1;
   opts.batcher.max_batch_tokens = 1;
-  opts.batcher.max_wait = std::chrono::microseconds(0);
   opts.recovery.journal = &journal;
   opts.recovery.checkpoints = &ckpts;
   opts.recovery.replication = &repl;
@@ -642,8 +641,8 @@ TEST(Replication, StaleFollowerGetsTypedRejection) {
   std::filesystem::create_directories(follower_dir);
   {
     RequestJournal fj(follower_dir + "/journal.ssj");
-    fj.append_accepted(0, 1, {1, 2, 3, 4});
-    fj.append_accepted(1, 1, {5, 6, 7, 8});
+    fj.append_accepted(0, "m", 1, 1, {1, 2, 3, 4});
+    fj.append_accepted(1, "m", 1, 1, {5, 6, 7, 8});
     fj.append_completed(0, 0, 0xBEEF);
   }
 

@@ -5,8 +5,8 @@
 // and randomized multi-client arrival order), the engine-backend matrix
 // (kernel / simulate+PPA / device-paced), multi-model serving with
 // per-model metrics, operator save/load round trips, backpressure,
-// typed shutdown rejection, the deprecated v1 single-model shims, and
-// the load generator's two arrival models.
+// typed shutdown rejection, and the load generator's two arrival
+// models.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -108,20 +108,24 @@ TEST(RequestQueue, TryPushRespectsCapacity) {
   EXPECT_EQ(q.size(), 2u);
 }
 
-TEST(RequestQueue, PopCompatibleReportsOversizedHead) {
+TEST(RequestQueue, PopCompatibleStopsAtOversizedHead) {
   RequestQueue q(4);
   EXPECT_TRUE(q.push(make_request(1, 10, 4)));
-  InferenceRequest out;
-  EXPECT_EQ(q.pop_compatible(5, Clock::now() + std::chrono::seconds(1),
-                             &out),
-            PopStatus::kWouldExceed);
-  EXPECT_EQ(q.pop_compatible(10, Clock::now() + std::chrono::seconds(1),
-                             &out),
-            PopStatus::kOk);
-  // Empty queue + short deadline -> timeout.
-  EXPECT_EQ(q.pop_compatible(
-                10, Clock::now() + std::chrono::milliseconds(1), &out),
-            PopStatus::kTimeout);
+  std::vector<InferenceRequest> out, expired;
+  const Clock::time_point now = Clock::now();
+  const Clock::time_point no_bound = Clock::time_point::min();
+  EXPECT_EQ(q.pop_compatible(5, nullptr, now, no_bound, &out, &expired),
+            0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(q.size(), 1u);  // reported by staying queued, never skipped
+  EXPECT_EQ(q.pop_compatible(10, nullptr, now, no_bound, &out, &expired),
+            10u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].id, 1u);
+  // An empty queue returns at once: the fill never waits.
+  EXPECT_EQ(q.pop_compatible(10, nullptr, now, no_bound, &out, &expired),
+            0u);
+  EXPECT_TRUE(expired.empty());
 }
 
 // -------------------------------------------------------------- batcher
@@ -134,7 +138,6 @@ TEST(Batcher, CoalescesUpToTokenBudget) {
 
   BatcherOptions opts;
   opts.max_batch_tokens = 8;  // fits two 3-row requests
-  opts.max_wait = std::chrono::microseconds(0);
   const Batcher batcher(opts);
 
   std::vector<std::size_t> sizes;
@@ -151,6 +154,67 @@ TEST(Batcher, CoalescesUpToTokenBudget) {
   EXPECT_EQ(sizes.size(), 5u);  // 10 requests, 2 per batch
 }
 
+TEST(Batcher, LoneRequestDispatchesWithoutWaitingForMore) {
+  // Work-conserving dispatch: a shard with one queued request dispatches
+  // it at once, even though the budget has room for a second request
+  // that arrives 50 ms later.
+  RequestQueue q(4);
+  ASSERT_TRUE(q.push(make_request(0, 1, 4)));
+  std::thread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(q.push(make_request(1, 1, 4)));
+  });
+
+  BatcherOptions opts;
+  opts.max_batch_tokens = 8;
+  const Batcher batcher(opts);
+  const Batch b = batcher.next_batch(q);
+  late.join();
+  ASSERT_EQ(b.requests.size(), 1u);
+  EXPECT_EQ(b.requests[0].id, 0u);
+  EXPECT_EQ(b.tokens, 1u);
+  // The late request forms its own batch.
+  const Batch next = batcher.next_batch(q);
+  ASSERT_EQ(next.requests.size(), 1u);
+  EXPECT_EQ(next.requests[0].id, 1u);
+}
+
+TEST(Batcher, BacklogFillsBudgetInOneFormation) {
+  // Under backlog one formation takes every compatible queued request
+  // that fits: it skips another model's fresh request, rejects an
+  // expired one without charging the budget, and leaves the rest queued.
+  const Fixture f = Fixture::make();
+  const engine::ModelRef ma = engine::ModelHandle::from_amm("a", 1, f.amm);
+  const engine::ModelRef mb = engine::ModelHandle::from_amm("b", 1, f.amm);
+  RequestQueue q(16);
+  const auto push = [&](std::uint64_t id, const engine::ModelRef& m,
+                        bool expired) {
+    InferenceRequest req = make_request(id, 2, 4);
+    req.model = m;
+    if (expired) req.deadline = Clock::now() - std::chrono::milliseconds(1);
+    ASSERT_TRUE(q.push(std::move(req)));
+  };
+  push(0, ma, false);
+  push(1, mb, false);
+  push(2, ma, false);
+  push(3, ma, true);
+  push(4, ma, false);
+  push(5, ma, false);
+
+  BatcherOptions opts;
+  opts.max_batch_tokens = 6;  // three 2-row requests
+  opts.max_skip_age = std::chrono::seconds(1);  // model b stays fresh
+  const Batcher batcher(opts);
+  const Batch b = batcher.next_batch(q);
+  ASSERT_EQ(b.requests.size(), 3u);
+  EXPECT_EQ(b.requests[0].id, 0u);
+  EXPECT_EQ(b.requests[1].id, 2u);
+  EXPECT_EQ(b.requests[2].id, 4u);
+  EXPECT_EQ(b.tokens, 6u);
+  EXPECT_EQ(b.expired, 1u);
+  EXPECT_EQ(q.size(), 2u);  // model b's request and id 5 stay queued
+}
+
 TEST(Batcher, OversizedRequestServedAlone) {
   RequestQueue q(4);
   ASSERT_TRUE(q.push(make_request(0, 100, 4)));
@@ -159,7 +223,6 @@ TEST(Batcher, OversizedRequestServedAlone) {
 
   BatcherOptions opts;
   opts.max_batch_tokens = 8;
-  opts.max_wait = std::chrono::microseconds(0);
   const Batcher batcher(opts);
   Batch b = batcher.next_batch(q);
   ASSERT_EQ(b.requests.size(), 1u);
@@ -186,7 +249,6 @@ TEST(Batcher, ModelAffineCoalescingNeverMixesOrFragments) {
 
   BatcherOptions opts;
   opts.max_batch_tokens = 6;  // three 2-row requests per batch
-  opts.max_wait = std::chrono::microseconds(0);
   const Batcher batcher(opts);
 
   std::uint64_t next_a = 0, next_b = 1;
@@ -270,7 +332,6 @@ TEST(InferenceServer, BitExactUnderWorkersAndRandomArrival) {
   opts.num_workers = 4;
   opts.queue_capacity = 64;
   opts.batcher.max_batch_tokens = 16;
-  opts.batcher.max_wait = std::chrono::microseconds(100);
   InferenceServer server(opts);
   EXPECT_EQ(server.register_model("m", f.amm), 1u);
 
@@ -337,6 +398,9 @@ TEST(InferenceServer, SimulateModeBitExactWithPpaAggregation) {
   InferenceServer server(opts);
   server.register_model("m", f.amm);
 
+  // One-row requests: at light load most batches are a single token,
+  // whose simulated run has no output interval; the report still
+  // carries a rate (make_report's analytic fallback).
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < 24; ++id)
     futs.push_back(server.submit(
@@ -428,7 +492,6 @@ TEST(InferenceServer, PacingForcesWorkAcrossMultipleShards) {
   opts.engine.backend = engine::Backend::kDevicePaced;
   opts.engine.device_ns_per_token = 100'000.0;
   opts.batcher.max_batch_tokens = 4;
-  opts.batcher.max_wait = std::chrono::microseconds(0);
   InferenceServer server(opts);
   server.register_model("m", f.amm);
 
@@ -657,57 +720,6 @@ TEST(InferenceServer, UnknownModelRefThrowsAtSubmit) {
   std::vector<std::uint8_t> short_codes(3, 0);
   EXPECT_THROW(server.submit("m", short_codes, 1), CheckError);
 }
-
-// ---------------------------------------------- v1 compatibility shims
-
-// PR-4-era call sites must keep compiling (with deprecation warnings,
-// silenced here) and serving bit-exactly through the shims.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(InferenceServerV1Shim, OneModelConstructorAndModelessSubmit) {
-  const Fixture f = Fixture::make();
-  ServerOptions opts;
-  opts.num_workers = 2;
-  opts.mode = ExecutionMode::kKernel;  // deprecated field + alias
-  InferenceServer server(f.amm, opts);  // deprecated one-model ctor
-
-  // The operator landed as "default" version 1; the model-less submit
-  // resolves it.
-  EXPECT_EQ(server.registry().latest_version("default"), 1u);
-  auto fut = server.submit(
-      std::vector<std::uint8_t>(f.pool.row(5), f.pool.row(5) + f.pool.cols),
-      1);
-  const InferenceResult res = fut.get();
-  EXPECT_EQ(res.model, "default");
-  EXPECT_EQ(res.outputs, f.expected(5, 1));
-}
-
-TEST(InferenceServerV1Shim, DeprecatedEngineFieldsFoldIntoEngineOptions) {
-  // The deprecated mode/accel/device_ns_per_token fields must still
-  // steer the engine: a paced server built through them enforces the
-  // modeled service time.
-  const Fixture f = Fixture::make();
-  ServerOptions opts;
-  opts.num_workers = 1;
-  opts.mode = ExecutionMode::kDevicePaced;
-  opts.device_ns_per_token = 100'000.0;
-  InferenceServer server(f.amm, opts);
-
-  const Clock::time_point t0 = Clock::now();
-  std::vector<std::future<InferenceResult>> futs;
-  for (std::size_t id = 0; id < 16; ++id)
-    futs.push_back(server.submit(
-        std::vector<std::uint8_t>(f.pool.row(id % f.pool.rows),
-                                  f.pool.row(id % f.pool.rows) +
-                                      f.pool.cols),
-        1));
-  for (std::size_t id = 0; id < futs.size(); ++id)
-    EXPECT_EQ(futs[id].get().outputs, f.expected(id % f.pool.rows, 1));
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  EXPECT_GE(wall, 16 * 100e-6);
-}
-#pragma GCC diagnostic pop
 
 // ------------------------------------------------------- report merging
 

@@ -20,11 +20,6 @@
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
 
-// These suites deliberately keep exercising the deprecated v1
-// one-model constructor — it is the compatibility shim under test.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-
 namespace ssma::serve {
 namespace {
 
@@ -176,7 +171,6 @@ TEST(BatcherProperty, BudgetCeilingAndGlobalFifoUnderRandomSizes) {
 
   BatcherOptions opts;
   opts.max_batch_tokens = 16;
-  opts.max_wait = std::chrono::microseconds(0);
   const Batcher batcher(opts);
   RequestQueue queue(64);
 
@@ -213,8 +207,8 @@ TEST(BatcherProperty, PerShardFifoUnderLivePool) {
   ServerOptions opts;
   opts.num_workers = 3;
   opts.batcher.max_batch_tokens = 8;
-  opts.batcher.max_wait = std::chrono::microseconds(50);
-  InferenceServer server(f.amm, opts);
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
 
   // One client submits in id order, so within any one shard the
   // completion times must be monotonic in id (batches are formed FIFO
@@ -222,7 +216,7 @@ TEST(BatcherProperty, PerShardFifoUnderLivePool) {
   constexpr std::size_t kRequests = 150;
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < kRequests; ++id)
-    futs.push_back(server.submit(f.codes_for(id), 1));
+    futs.push_back(server.submit("m", f.codes_for(id), 1));
 
   std::map<int, Clock::time_point> last_done;
   for (std::size_t id = 0; id < futs.size(); ++id) {
@@ -257,9 +251,9 @@ TEST(ServeStress, InjectedDelaysShakeInterleavingsBitExact) {
   opts.num_workers = 4;
   opts.queue_capacity = 32;
   opts.batcher.max_batch_tokens = 8;
-  opts.batcher.max_wait = std::chrono::microseconds(100);
   opts.recovery.fault = &fault;
-  InferenceServer server(f.amm, opts);
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
 
   constexpr int kClients = 4;
   constexpr std::size_t kPerClient = 60;
@@ -284,7 +278,7 @@ TEST(ServeStress, InjectedDelaysShakeInterleavingsBitExact) {
           r = (r + 1) % f.pool.rows;
         }
         issued[static_cast<std::size_t>(c)].push_back(
-            {server.submit(std::move(codes), rows), first, rows});
+            {server.submit("m", std::move(codes), rows), first, rows});
       }
     });
   for (auto& t : clients) t.join();

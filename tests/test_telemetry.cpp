@@ -720,7 +720,6 @@ TEST(ServeTelemetryTest, LifecycleSpansUnderDelayChaos) {
     opts.num_workers = 3;
     opts.queue_capacity = 128;
     opts.batcher.max_batch_tokens = 8;
-    opts.batcher.max_wait = std::chrono::microseconds(200);
     opts.recovery.journal = &journal;
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.checkpoint_every = 32;
@@ -795,7 +794,7 @@ TEST(ServeTelemetryTest, LifecycleSpansUnderDelayChaos) {
     EXPECT_TRUE(queue_wait_covered[id]) << "request " << id;
     EXPECT_TRUE(ack_covered[id]) << "request " << id;
   }
-  EXPECT_FALSE(shard_tracks.empty());
+  ASSERT_FALSE(shard_tracks.empty());
 
   // The same run renders as loadable Chrome JSON.
   const std::string json = session.render_chrome_json();
@@ -806,7 +805,9 @@ TEST(ServeTelemetryTest, LifecycleSpansUnderDelayChaos) {
   EXPECT_TRUE(contains(json, "\"name\":\"epilogue/0\""));
   EXPECT_FALSE(contains(json, "\"name\":\"epilogue\""));
   EXPECT_TRUE(contains(json, "\"name\":\"queue_wait\""));
-  EXPECT_TRUE(contains(json, "\"shard-0\""));
+  // Shard tracks render under their thread names. Which shards got work
+  // is up to the scheduler, so check one that recorded spans.
+  EXPECT_TRUE(contains(json, "\"" + *shard_tracks.begin() + "\""));
 }
 
 TEST(ServeTelemetryTest, ReplayedRequestsProduceSpans) {
